@@ -341,7 +341,7 @@ impl BaselineSystem {
 
     /// Handles a batch of 4-KB client writes. With
     /// [`BaselineConfig::workers`] > 1 (and an inert fault plan — armed
-    /// faults key off global device-call order) the multi-lane SHA-256
+    /// faults key off global device-call order) the batch SHA-256
     /// hashing and speculative LZSS compression of every chunk
     /// precompute on the persistent worker pool; each write then commits
     /// on this thread in submission order, recording stats at exactly
@@ -1323,8 +1323,8 @@ struct PreparedWrite {
 
 /// Fingerprints and speculatively compresses every chunk of `writes`
 /// across up to `workers` persistent pool workers, in submission order
-/// per slot. Each job hashes its whole slice through the multi-lane
-/// SHA-256 kernel ([`Fingerprint::of_batch`]) before compressing.
+/// per slot. Each job hashes its whole slice in one batch digest
+/// ([`Fingerprint::of_batch`]) before compressing.
 /// Oversized chunks still prepare (cheaply wasted): `write_inner`
 /// rejects them before consuming the precompute, exactly as in serial.
 fn prepare_writes(

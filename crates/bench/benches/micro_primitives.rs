@@ -6,16 +6,30 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use fidr::cache::{BPlusTree, HwTree, HwTreeConfig, PipelinedTree};
 use fidr::chunk::Pbn;
 use fidr::compress::{compress, decompress, ContentGenerator};
-use fidr::hash::{Fingerprint, Sha256};
+use fidr::hash::{digest_batch, Fingerprint, Sha256};
 use fidr::tables::Bucket;
 use std::hint::black_box;
 
+/// `digest_4k` runs the kernel the CPU selects (`fidr::hash::kernel()`,
+/// printed first); `digest_4k_scalar` is the portable reference core on
+/// the same chunk; `digest_batch_64x4k` is one NIC-sized batch.
 fn bench_sha256(c: &mut Criterion) {
+    println!("sha256 kernel: {}", fidr::hash::kernel());
     let mut g = c.benchmark_group("sha256");
-    let chunk = ContentGenerator::new(0.5).chunk(1, 4096);
+    let gen = ContentGenerator::new(0.5);
+    let chunk = gen.chunk(1, 4096);
     g.throughput(Throughput::Bytes(4096));
     g.bench_function("digest_4k", |b| {
         b.iter(|| Sha256::digest(black_box(&chunk)))
+    });
+    g.bench_function("digest_4k_scalar", |b| {
+        b.iter(|| Sha256::scalar_digest(black_box(&chunk)))
+    });
+    let batch: Vec<Vec<u8>> = (0..64).map(|i| gen.chunk(i, 4096)).collect();
+    let refs: Vec<&[u8]> = batch.iter().map(|c| c.as_slice()).collect();
+    g.throughput(Throughput::Bytes(64 * 4096));
+    g.bench_function("digest_batch_64x4k", |b| {
+        b.iter(|| digest_batch(black_box(&refs)))
     });
     g.finish();
 }

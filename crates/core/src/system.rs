@@ -950,14 +950,14 @@ impl FidrSystem {
     /// With [`FidrConfig::workers`] > 1 (and an inert fault plan — armed
     /// faults key off global device-call order, so they force the serial
     /// path) the batch pipeline fans out over the persistent
-    /// [`WorkerPool`] built once at construction: hashing runs the
-    /// multi-lane SHA-256 kernel (`fidr_hash::digest_batch`) when
-    /// `max(hash_engines, workers)` > 1, dedup lookups run shard-owned
-    /// via [`CacheBackend::lookup_batch_parallel`] on the pool, and
-    /// lookup-flagged uniques precompress speculatively on the pool. All
-    /// ledger charges, spans and commits replay on this thread in batch
-    /// order, so every modelled export is byte-identical for any worker
-    /// count.
+    /// [`WorkerPool`] built once at construction: dedup lookups run
+    /// shard-owned via [`CacheBackend::lookup_batch_parallel`] on the
+    /// pool, and lookup-flagged uniques precompress speculatively on the
+    /// pool. Hashing is the same at every worker count: one batch digest
+    /// on the SHA-256 kernel the CPU selects (SHA-NI, else AVX2 8-lane,
+    /// else scalar). All ledger charges, spans and commits replay on this
+    /// thread in batch order, so every modelled export is byte-identical
+    /// for any worker count.
     fn process_batch(&mut self) -> Result<(), FidrError> {
         let cost = self.cfg.cost;
         let traced = self.tracer.is_enabled();
@@ -967,11 +967,8 @@ impl FidrSystem {
             1
         };
         // Step 2: in-NIC hashing (no CPU, no host memory). The modelled
-        // hash time below stays keyed to `hash_engines`; `workers` only
-        // widens the physical fan-out.
-        let batch = self
-            .nic
-            .take_hash_batch_with_engines(self.cfg.hash_batch, self.cfg.hash_engines.max(workers));
+        // hash time below stays keyed to `hash_engines`.
+        let batch = self.nic.take_hash_batch(self.cfg.hash_batch);
         if batch.is_empty() {
             return Ok(());
         }

@@ -21,14 +21,17 @@
 //!
 //! # Lane-count selection
 //!
-//! The lane width is keyed to the widest SIMD the host offers, probed at
-//! run time (`is_x86_feature_detected!`), not to the configured engine
-//! count — engines scale the *modelled* hash time, lanes are merely how
-//! the software stand-in keeps up:
+//! The process-wide kernel choice ([`crate::kernel`]) decides the lane
+//! width, by CPU feature, never by the configured engine or worker count
+//! — engines scale the *modelled* hash time in `fidr-hwsim`, lanes are
+//! merely how the software stand-in keeps up:
 //!
-//! * AVX2 (256-bit) → **8 lanes**. Measured ~3.8× over the scalar core
-//!   on 4-KiB chunks.
-//! * otherwise → **1 lane** (the scalar [`Sha256`] core per message).
+//! * SHA-NI → **1 lane**: each message runs alone through the SHA-NI
+//!   kernel, which beats eight interleaved AVX2 lanes per message
+//!   (~3.5 µs vs ~5.5 µs per 4-KiB chunk).
+//! * AVX2 without SHA-NI → **8 lanes** through this module's kernel,
+//!   ~5× the scalar core on 4-KiB chunks.
+//! * otherwise → **1 lane** (the scalar core per message).
 //!   Narrower interleaving (e.g. 4 lanes through plain `[u32; 4]`
 //!   arrays) was measured *slower* than scalar under the default
 //!   `x86-64` baseline codegen, so it is deliberately not offered.
@@ -36,27 +39,29 @@
 //! # Byte-identity guarantee
 //!
 //! [`digest_batch`] returns exactly `Sha256::digest(msg)` for every
-//! message, bit for bit, on every code path: the SIMD kernel computes
-//! the same FIPS 180-4 rounds over the same padded blocks, group tails
-//! shorter than the lane width fall back to the scalar core, and lanes
-//! whose messages outlive the group's common block count finish through
-//! the very same scalar `compress_block` the streaming hasher uses.
-//! Dedup fingerprints, and therefore every exported metric derived from
-//! them, cannot depend on which path hashed a chunk.
+//! message, bit for bit, on every kernel: each computes the same
+//! FIPS 180-4 rounds over the same padded blocks, group tails shorter
+//! than the lane width hash as single streams, and lanes whose messages
+//! outlive the group's common block count finish through the
+//! single-stream kernel. `kernel.rs` checks every kernel the host has
+//! against the scalar reference. Dedup fingerprints, and therefore every
+//! exported metric derived from them, cannot depend on which kernel
+//! hashed a chunk.
 
-use crate::sha256::{compress_block, Sha256, H0};
+use crate::kernel::Kernel;
+use crate::sha256::{Sha256, H0};
 
 /// Widest interleave the kernel supports (AVX2: eight 32-bit lanes).
 pub const MAX_LANES: usize = 8;
 
 /// Number of SHA-256 streams one call to [`digest_batch`] interleaves on
-/// this host: [`MAX_LANES`] when the SIMD kernel is available, else 1.
+/// this host: [`MAX_LANES`] under the AVX2 kernel, else 1 (SHA-NI and
+/// scalar hash one message at a time).
 pub fn lane_count() -> usize {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        return MAX_LANES;
+    match Kernel::active() {
+        Kernel::Avx2x8 => MAX_LANES,
+        Kernel::ShaNi | Kernel::Scalar => 1,
     }
-    1
 }
 
 /// Digests a batch of messages, byte-identical to calling
@@ -74,11 +79,29 @@ pub fn lane_count() -> usize {
 /// }
 /// ```
 pub fn digest_batch(msgs: &[&[u8]]) -> Vec<[u8; 32]> {
+    digest_batch_with(Kernel::active(), msgs)
+}
+
+/// [`digest_batch`] on `kernel`, which must be available on the host.
+pub(crate) fn digest_batch_with(kernel: Kernel, msgs: &[&[u8]]) -> Vec<[u8; 32]> {
+    let single = |m: &&[u8]| {
+        let mut h = Sha256::with_kernel(kernel);
+        h.update(m);
+        h.finalize()
+    };
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        return digest_batch_wide(msgs);
+    if kernel == Kernel::Avx2x8 {
+        let mut out = Vec::with_capacity(msgs.len());
+        let mut groups = msgs.chunks_exact(MAX_LANES);
+        for group in &mut groups {
+            let lanes: &[&[u8]; MAX_LANES] =
+                group.try_into().expect("chunks_exact yields full groups");
+            out.extend(digest_group(lanes));
+        }
+        out.extend(groups.remainder().iter().map(single));
+        return out;
     }
-    msgs.iter().map(|m| Sha256::digest(m)).collect()
+    msgs.iter().map(single).collect()
 }
 
 /// Padded SHA-256 block count of an `len`-byte message: the message
@@ -119,28 +142,18 @@ fn digest_bytes(state: &[u32; 8]) -> [u8; 32] {
     out
 }
 
-/// Batch digest via the 8-lane kernel: full groups of [`MAX_LANES`]
-/// messages interleave; the tail group hashes scalar.
-#[cfg(target_arch = "x86_64")]
-fn digest_batch_wide(msgs: &[&[u8]]) -> Vec<[u8; 32]> {
-    let mut out = Vec::with_capacity(msgs.len());
-    let mut groups = msgs.chunks_exact(MAX_LANES);
-    for group in &mut groups {
-        let lanes: &[&[u8]; MAX_LANES] = group.try_into().expect("chunks_exact yields full groups");
-        out.extend(digest_group(lanes));
-    }
-    out.extend(groups.remainder().iter().map(|m| Sha256::digest(m)));
-    out
-}
-
 /// Digests one full group of [`MAX_LANES`] messages: blocks common to
 /// all lanes run through the SIMD kernel; lanes whose (padded) messages
-/// are longer finish through the scalar compression function. (The
-/// `allow` covers only the feature-gated kernel call; see its SAFETY
-/// comment.)
+/// are longer finish through the AVX2 kernel's single-stream (scalar)
+/// compression. (The `allow` covers only the feature-gated kernel call;
+/// see its SAFETY comment.)
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 fn digest_group(lanes: &[&[u8]; MAX_LANES]) -> [[u8; 32]; MAX_LANES] {
+    assert!(
+        Kernel::Avx2x8.available(),
+        "AVX2 kernel on a host without it"
+    );
     let totals: [usize; MAX_LANES] = std::array::from_fn(|l| padded_blocks(lanes[l].len()));
     let common = *totals.iter().min().expect("MAX_LANES > 0");
     let mut states = [H0; MAX_LANES];
@@ -163,21 +176,21 @@ fn digest_group(lanes: &[&[u8]; MAX_LANES]) -> [[u8; 32]; MAX_LANES] {
                 &scratch[l]
             }
         });
-        // SAFETY: `digest_batch` only reaches this path after
-        // `is_x86_feature_detected!("avx2")` confirmed the host supports
-        // every instruction the kernel uses.
+        // SAFETY: the assert on entry confirmed (through the cached
+        // runtime probe) that the host supports every instruction the
+        // kernel uses.
         unsafe { avx2::compress8(&mut states, &blocks) };
     }
     for l in 0..MAX_LANES {
         for b in common..totals[l] {
-            compress_block(&mut states[l], &padded_block(lanes[l], b, totals[l]));
+            Kernel::Avx2x8.compress_blocks(&mut states[l], &padded_block(lanes[l], b, totals[l]));
         }
     }
     std::array::from_fn(|l| digest_bytes(&states[l]))
 }
 
-/// The AVX2 8-lane SHA-256 compression kernel. The only `unsafe` in the
-/// crate lives here: `core::arch` intrinsics, which are unsafe solely
+/// The AVX2 8-lane SHA-256 compression kernel. Its `unsafe` is
+/// `core::arch` intrinsics, which are unsafe solely
 /// because they require the `avx2` target feature — the caller gates on
 /// runtime detection. No raw pointers escape; loads/stores go through
 /// `_mm256_loadu_si256`/`_mm256_storeu_si256` on stack arrays.
@@ -317,77 +330,14 @@ mod avx2 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::splitmix64;
-
-    /// Deterministic test PRNG built on the crate's own mixer.
-    fn next(seed: &mut u64) -> u64 {
-        *seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        splitmix64(*seed)
-    }
 
     #[test]
-    fn empty_batch() {
-        assert!(digest_batch(&[]).is_empty());
-    }
-
-    #[test]
-    fn equal_length_chunks_match_scalar() {
-        let msgs: Vec<Vec<u8>> = (0..20u64)
-            .map(|i| {
-                let mut s = i;
-                (0..4096).map(|_| next(&mut s) as u8).collect()
-            })
-            .collect();
-        let refs: Vec<&[u8]> = msgs.iter().map(|m| m.as_slice()).collect();
-        let got = digest_batch(&refs);
-        for (msg, digest) in msgs.iter().zip(got) {
-            assert_eq!(digest, Sha256::digest(msg));
-        }
-    }
-
-    /// Property test: random batch sizes of random-length random-content
-    /// messages always agree with the scalar digest — this exercises the
-    /// mixed-length group path (common-prefix SIMD blocks + scalar lane
-    /// tails) and the sub-group scalar fallback.
-    #[test]
-    fn random_lengths_match_scalar() {
-        let mut seed = 0x5eed_cafe_f1d4_2026u64;
-        for _case in 0..40 {
-            let batch_len = (next(&mut seed) % 23) as usize;
-            let msgs: Vec<Vec<u8>> = (0..batch_len)
-                .map(|_| {
-                    // Lengths straddle every padding regime: empty,
-                    // sub-block, the 55/56/63/64 boundaries, multi-block.
-                    let len = (next(&mut seed) % 300) as usize;
-                    (0..len).map(|_| next(&mut seed) as u8).collect()
-                })
-                .collect();
-            let refs: Vec<&[u8]> = msgs.iter().map(|m| m.as_slice()).collect();
-            let got = digest_batch(&refs);
-            assert_eq!(got.len(), msgs.len());
-            for (msg, digest) in msgs.iter().zip(got) {
-                assert_eq!(digest, Sha256::digest(msg), "len {}", msg.len());
-            }
-        }
-    }
-
-    #[test]
-    fn padding_boundary_lengths_match_scalar() {
-        let lengths = [0usize, 1, 54, 55, 56, 57, 63, 64, 65, 119, 120, 128, 4096];
-        let msgs: Vec<Vec<u8>> = lengths
-            .iter()
-            .enumerate()
-            .map(|(i, &len)| vec![i as u8; len])
-            .collect();
-        let refs: Vec<&[u8]> = msgs.iter().map(|m| m.as_slice()).collect();
-        for (msg, digest) in msgs.iter().zip(digest_batch(&refs)) {
-            assert_eq!(digest, Sha256::digest(msg), "len {}", msg.len());
-        }
-    }
-
-    #[test]
-    fn lane_count_is_sane() {
-        let lanes = lane_count();
-        assert!(lanes == 1 || lanes == MAX_LANES);
+    fn lane_count_follows_the_kernel() {
+        let expected = if Kernel::active() == Kernel::Avx2x8 {
+            MAX_LANES
+        } else {
+            1
+        };
+        assert_eq!(lane_count(), expected);
     }
 }

@@ -3,8 +3,12 @@
 //! FIDR offloads chunk hashing to the NIC using "instances of an open-source
 //! SHA-256 core" (paper §6.2). This module is the software stand-in for those
 //! cores: a streaming SHA-256 implementation used by every hash engine model
-//! in the workspace. It is validated against the FIPS 180-4 test vectors in
-//! the unit tests below.
+//! in the workspace. Whole blocks compress through the kernel the CPU
+//! selects ([`crate::kernel`]); the scalar core here is the reference
+//! every kernel is tested against (`kernel.rs`), and the FIPS 180-4
+//! vectors in the unit tests below check the padding around it.
+
+use crate::kernel::Kernel;
 
 /// Initial hash values: the first 32 bits of the fractional parts of the
 /// square roots of the first eight primes (FIPS 180-4 §5.3.3).
@@ -111,6 +115,8 @@ pub struct Sha256 {
     buf_len: usize,
     /// Total message length in bytes processed so far.
     total_len: u64,
+    /// Compression kernel, fixed at construction.
+    kernel: Kernel,
 }
 
 impl Default for Sha256 {
@@ -120,13 +126,20 @@ impl Default for Sha256 {
 }
 
 impl Sha256 {
-    /// Creates a hasher in the initial state.
+    /// Creates a hasher in the initial state, on the kernel the CPU
+    /// selects (see [`crate::kernel`]).
     pub fn new() -> Self {
+        Self::with_kernel(Kernel::active())
+    }
+
+    /// A hasher pinned to `kernel`, which must be available on the host.
+    pub(crate) fn with_kernel(kernel: Kernel) -> Self {
         Sha256 {
             state: H0,
             buf: [0u8; 64],
             buf_len: 0,
             total_len: 0,
+            kernel,
         }
     }
 
@@ -137,45 +150,38 @@ impl Sha256 {
 
         // Fill a partially-buffered block first.
         if self.buf_len > 0 {
-            let need = 64 - self.buf_len;
-            let take = need.min(input.len());
+            let take = (64 - self.buf_len).min(input.len());
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&input[..take]);
             self.buf_len += take;
             input = &input[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
+            if self.buf_len < 64 {
+                return;
             }
+            self.kernel.compress_blocks(&mut self.state, &self.buf);
+            self.buf_len = 0;
         }
 
-        // Whole blocks straight from the input.
-        while input.len() >= 64 {
-            let (block, rest) = input.split_at(64);
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.compress(&b);
-            input = rest;
-        }
+        // The whole-block prefix goes to the kernel in one call.
+        let whole = input.len() - input.len() % 64;
+        let (blocks, tail) = input.split_at(whole);
+        self.kernel.compress_blocks(&mut self.state, blocks);
 
-        // Stash the tail.
-        if !input.is_empty() {
-            self.buf[..input.len()].copy_from_slice(input);
-            self.buf_len = input.len();
-        }
+        self.buf[..tail.len()].copy_from_slice(tail);
+        self.buf_len = tail.len();
     }
 
     /// Consumes the hasher and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
 
-        // Append 0x80 then zero-pad to 56 mod 64, then the 64-bit length.
-        self.raw_update(&[0x80]);
-        while self.buf_len != 56 {
-            self.raw_update(&[0x00]);
-        }
-        self.raw_update(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buf_len, 0);
+        // Append 0x80, zero-pad to 56 mod 64 (spilling into a second
+        // block when fewer than 9 bytes remain), then the 64-bit length.
+        let mut pad = [0u8; 128];
+        pad[..self.buf_len].copy_from_slice(&self.buf[..self.buf_len]);
+        pad[self.buf_len] = 0x80;
+        let padded = if self.buf_len < 56 { 64 } else { 128 };
+        pad[padded - 8..padded].copy_from_slice(&bit_len.to_be_bytes());
+        self.kernel.compress_blocks(&mut self.state, &pad[..padded]);
 
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
@@ -198,29 +204,26 @@ impl Sha256 {
         h.finalize()
     }
 
-    /// `update` without touching `total_len` (used for padding).
-    fn raw_update(&mut self, data: &[u8]) {
-        for &b in data {
-            self.buf[self.buf_len] = b;
-            self.buf_len += 1;
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
-            }
-        }
-    }
-
-    /// The SHA-256 compression function over one 512-bit block.
-    fn compress(&mut self, block: &[u8; 64]) {
-        compress_block(&mut self.state, block);
+    /// [`digest`](Self::digest) on the portable scalar core whatever the
+    /// CPU offers: the FIPS 180-4 reference the faster kernels are
+    /// checked and benchmarked against.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use fidr_hash::Sha256;
+    ///
+    /// assert_eq!(Sha256::scalar_digest(b"abc"), Sha256::digest(b"abc"));
+    /// ```
+    pub fn scalar_digest(data: &[u8]) -> [u8; 32] {
+        let mut h = Sha256::with_kernel(Kernel::Scalar);
+        h.update(data);
+        h.finalize()
     }
 }
 
-/// The scalar SHA-256 compression function over one 512-bit block,
-/// shared with the multi-lane batch digest in [`crate::lanes`] (whose
-/// odd-length tails finish through this exact function, which is how the
-/// byte-identity guarantee holds by construction).
+/// The scalar SHA-256 compression function over one 512-bit block: the
+/// reference core behind [`Kernel::Scalar`].
 pub(crate) fn compress_block(state: &mut [u32; 8], block: &[u8; 64]) {
     let mut w = [0u32; 64];
     for (i, chunk) in block.chunks_exact(4).enumerate() {

@@ -182,29 +182,14 @@ impl FidrNic {
 
     /// Runs up to `max` pending chunks through the in-NIC SHA-256 cores
     /// (§5.3 step 2). Chunks remain buffered and read-visible.
+    ///
+    /// The batch digests through [`Fingerprint::of_batch`], whose kernel
+    /// the CPU picks once per process (SHA-NI, else the AVX2 8-lane
+    /// interleave, else scalar; see `fidr_hash::kernel`). The modelled
+    /// hash-core count (`hash_engines`) scales only the *modelled* hash
+    /// time in `fidr-hwsim`; it never changes how this batch is hashed,
+    /// and every kernel yields the same fingerprints.
     pub fn take_hash_batch(&mut self, max: usize) -> Vec<HashedChunk> {
-        self.take_hash_batch_with_engines(max, 1)
-    }
-
-    /// Like [`take_hash_batch`](FidrNic::take_hash_batch) but models
-    /// `engines` parallel SHA cores — the prototype NIC instantiates
-    /// multiple hash cores to sustain line rate (§6.2). With more than
-    /// one engine the chunks digest through the multi-lane interleaved
-    /// SHA-256 kernel (`fidr_hash::digest_batch`): one call retires up
-    /// to `fidr_hash::lanes::MAX_LANES` streams per compression round,
-    /// which is how a software stand-in for N hash cores gets faster
-    /// even on a host with fewer CPUs than engines. (Earlier revisions
-    /// spawned a scoped thread per engine here; on hosts without spare
-    /// CPUs that *lost* wall-clock time to spawn overhead.) The result
-    /// is byte-identical to the single-engine path; only wall-clock
-    /// changes. `engines` does not change lane width — it scales the
-    /// *modelled* hash time in `fidr-hwsim`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `engines` is zero.
-    pub fn take_hash_batch_with_engines(&mut self, max: usize, engines: usize) -> Vec<HashedChunk> {
-        assert!(engines > 0, "need at least one hash engine");
         let started = Instant::now();
         let n = max.min(self.pending_live);
         let mut staged: Vec<(Lba, Bytes)> = Vec::with_capacity(n);
@@ -226,31 +211,17 @@ impl FidrNic {
             self.batch_chunks.record(staged.len() as u64);
         }
 
-        let hashed: Vec<HashedChunk> = if engines == 1 || staged.len() < 2 {
-            staged
-                .into_iter()
-                .map(|(lba, data)| {
-                    let fingerprint = Fingerprint::of(&data);
-                    HashedChunk {
-                        lba,
-                        data,
-                        fingerprint,
-                    }
-                })
-                .collect()
-        } else {
-            let refs: Vec<&[u8]> = staged.iter().map(|(_, data)| data.as_ref()).collect();
-            let fingerprints = Fingerprint::of_batch(&refs);
-            staged
-                .into_iter()
-                .zip(fingerprints)
-                .map(|((lba, data), fingerprint)| HashedChunk {
-                    lba,
-                    data,
-                    fingerprint,
-                })
-                .collect()
-        };
+        let refs: Vec<&[u8]> = staged.iter().map(|(_, data)| data.as_ref()).collect();
+        let fingerprints = Fingerprint::of_batch(&refs);
+        let hashed: Vec<HashedChunk> = staged
+            .into_iter()
+            .zip(fingerprints)
+            .map(|((lba, data), fingerprint)| HashedChunk {
+                lba,
+                data,
+                fingerprint,
+            })
+            .collect();
         if !hashed.is_empty() {
             self.batch_ns.record_duration(started.elapsed());
         }
@@ -416,24 +387,18 @@ mod tests {
     }
 
     #[test]
-    fn parallel_engines_match_sequential() {
-        let mut seq = FidrNic::new(1 << 22);
-        let mut par = FidrNic::new(1 << 22);
+    fn batch_fingerprints_match_per_chunk_digests() {
+        let mut nic = FidrNic::new(1 << 22);
         for i in 0..33u64 {
-            let data = Bytes::from(vec![(i % 251) as u8; 4096]);
-            seq.accept_write(Lba(i), data.clone());
-            par.accept_write(Lba(i), data);
+            nic.accept_write(Lba(i), Bytes::from(vec![(i % 251) as u8; 4096]));
         }
-        let a = seq.take_hash_batch(33);
-        let b = par.take_hash_batch_with_engines(33, 4);
-        assert_eq!(a, b, "parallel hashing must be byte-identical in order");
-        assert_eq!(par.stats().chunks_hashed, 33);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one hash engine")]
-    fn zero_engines_panics() {
-        FidrNic::new(1024).take_hash_batch_with_engines(1, 0);
+        let batch = nic.take_hash_batch(33);
+        assert_eq!(batch.len(), 33);
+        for (i, chunk) in batch.iter().enumerate() {
+            assert_eq!(chunk.lba, Lba(i as u64), "batch order follows arrival");
+            assert_eq!(chunk.fingerprint, Fingerprint::of(&chunk.data));
+        }
+        assert_eq!(nic.stats().chunks_hashed, 33);
     }
 
     #[test]

@@ -97,7 +97,7 @@ struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        if self.pos + n > self.buf.len() {
+        if n > self.buf.len() - self.pos {
             return Err(SnapshotError::Truncated);
         }
         let s = &self.buf[self.pos..self.pos + n];
@@ -114,8 +114,19 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
     }
     fn bytes(&mut self) -> Result<Vec<u8>, SnapshotError> {
-        let n = self.u64()? as usize;
+        let n = usize::try_from(self.u64()?).map_err(|_| SnapshotError::Truncated)?;
         Ok(self.take(n)?.to_vec())
+    }
+    /// A record count, bounded by how many records of at least
+    /// `min_record` encoded bytes the rest of the image can hold, so a
+    /// hostile count can never drive the allocation sized from it.
+    fn count(&mut self, min_record: usize) -> Result<usize, SnapshotError> {
+        let n = self.u64()?;
+        let room = (self.buf.len() - self.pos) / min_record;
+        usize::try_from(n)
+            .ok()
+            .filter(|&n| n <= room)
+            .ok_or(SnapshotError::Corrupt("record count exceeds image"))
     }
     fn fingerprint(&mut self) -> Result<Fingerprint, SnapshotError> {
         let raw: [u8; 32] = self
@@ -209,7 +220,8 @@ impl Snapshot {
         if num_buckets == 0 {
             return Err(SnapshotError::Corrupt("zero buckets"));
         }
-        let n = r.u64()? as usize;
+        // Bucket: index u64 + entry count u16 (entries may be empty).
+        let n = r.count(10)?;
         let mut table_buckets = Vec::with_capacity(n);
         for _ in 0..n {
             let idx = r.u64()?;
@@ -228,13 +240,13 @@ impl Snapshot {
             table_buckets.push((idx, bucket));
         }
 
-        let n = r.u64()? as usize;
+        let n = r.count(16)?;
         let mut lbas = Vec::with_capacity(n);
         for _ in 0..n {
             lbas.push((Lba(r.u64()?), Pbn(r.u64()?)));
         }
 
-        let n = r.u64()? as usize;
+        let n = r.count(24)?;
         let mut pbns = Vec::with_capacity(n);
         for _ in 0..n {
             let pbn = Pbn(r.u64()?);
@@ -251,7 +263,8 @@ impl Snapshot {
             ));
         }
 
-        let n = r.u64()? as usize;
+        // Container: id u64 + byte length u64 (bytes may be empty).
+        let n = r.count(16)?;
         let mut containers = Vec::with_capacity(n);
         for _ in 0..n {
             let id = r.u64()?;
@@ -262,20 +275,20 @@ impl Snapshot {
         let next_pbn = r.u64()?;
         let next_container = r.u64()?;
 
-        let n = r.u64()? as usize;
+        let n = r.count(40)?;
         let mut pbn_fp = Vec::with_capacity(n);
         for _ in 0..n {
             let pbn = Pbn(r.u64()?);
             pbn_fp.push((pbn, r.fingerprint()?));
         }
 
-        let n = r.u64()? as usize;
+        let n = r.count(16)?;
         let mut liveness = Vec::with_capacity(n);
         for _ in 0..n {
             liveness.push((r.u64()?, r.u32()?, r.u32()?));
         }
 
-        let n = r.u64()? as usize;
+        let n = r.count(8)?;
         let mut dead = Vec::with_capacity(n);
         for _ in 0..n {
             dead.push(Pbn(r.u64()?));
@@ -299,6 +312,7 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample() -> Snapshot {
         let mut bucket = Bucket::new();
@@ -370,5 +384,46 @@ mod tests {
             Snapshot::decode(&image),
             Err(SnapshotError::Corrupt("bucket index out of range"))
         );
+    }
+
+    #[test]
+    fn hostile_record_count_is_corrupt_not_a_panic() {
+        // Magic, version 1, 16 buckets, then a bucket count of 2^58 with
+        // no records behind it: once a `capacity overflow` panic.
+        let mut image = MAGIC.to_vec();
+        image.extend_from_slice(&VERSION.to_le_bytes());
+        image.extend_from_slice(&16u64.to_le_bytes());
+        image.extend_from_slice(&(1u64 << 58).to_le_bytes());
+        assert_eq!(image.len(), 28);
+        assert_eq!(
+            Snapshot::decode(&image),
+            Err(SnapshotError::Corrupt("record count exceeds image"))
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// Truncated, bit-flipped and length-inflated images decode to
+        /// a value or an error, never a panic or a runaway allocation.
+        #[test]
+        fn decode_never_panics(
+            cut in 0usize..4096,
+            flips in proptest::collection::vec((0usize..4096, 0u8..8), 0..4),
+            inflate in proptest::collection::vec((0usize..4096, any::<u64>()), 0..2),
+        ) {
+            let mut image = sample().encode();
+            for (at, bit) in flips {
+                let at = at % image.len();
+                image[at] ^= 1 << bit;
+            }
+            // Overwrite an 8-byte window (every count and length field
+            // is a u64) with an arbitrary, typically huge, value.
+            for (at, value) in inflate {
+                let at = at % (image.len() - 7);
+                image[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            }
+            image.truncate(cut % (image.len() + 1));
+            let _ = Snapshot::decode(&image);
+        }
     }
 }

@@ -3,7 +3,7 @@
 # projected throughput plus a per-stage latency breakdown (p50/p99 of the
 # modelled span durations) into BENCH_<tag>.json at the repository root.
 #
-# Usage: ./scripts/bench_snapshot.sh [tag]   (default tag: pr7)
+# Usage: ./scripts/bench_snapshot.sh [tag]   (default tag: pr12)
 #
 # Throughput comes from the §7.5 projection printed by `fidr run`; stage
 # latencies come from the fidr.spans.v1 files exported by `fidr spans`.
@@ -16,7 +16,7 @@
 # multi-lane hashing landed (see docs/PERFORMANCE.md).
 set -eu
 
-TAG="${1:-pr7}"
+TAG="${1:-pr12}"
 OUT="BENCH_${TAG}.json"
 OPS="${OPS:-2000}"
 # Same CPU detection as scripts/check.sh's wall-gate skip, so the
@@ -105,13 +105,15 @@ for line in open(f"{tmp}/worker-scaling.txt"):
             }
         )
     m = re.match(
-        r"worker-scaling: wall_speedup_4x=([0-9.]+) modelled_speedup_4x=([0-9.]+) host_cpus=(\d+)",
+        r"worker-scaling: wall_speedup_4x=([0-9.]+) modelled_speedup_4x=([0-9.]+) host_cpus=(\d+) "
+        r"kernel=(\S+)",
         line,
     )
     if m:
         scaling["wall_speedup_4x"] = float(m.group(1))
         scaling["modelled_speedup_4x"] = float(m.group(2))
         scaling["host_cpus"] = int(m.group(3))
+        scaling["sha256_kernel"] = m.group(4)
 doc["worker_scaling"] = scaling
 
 # Tiered-cache ablation: everything here is modelled (deterministic per
