@@ -34,21 +34,36 @@ fn bench_sha256(c: &mut Criterion) {
     g.finish();
 }
 
+/// `compress_4k_r05` is a `ContentGenerator(0.5)` chunk (noise head,
+/// motif tail); `compress_4k_churn` is a 4-KiB cut of 64-byte noise runs
+/// alternating with 64 bytes of a repeated motif, the shape of the
+/// servebench `reduce-churn` contents; `compress_4k_noise` is
+/// incompressible, the raw-fallback path.
 fn bench_lzss(c: &mut Criterion) {
     let mut g = c.benchmark_group("lzss");
     let chunk = ContentGenerator::new(0.5).chunk(2, 4096);
     let packed = compress(&chunk);
+    let noise = ContentGenerator::new(1.0).chunk(3, 8192);
+    let motif = &noise[4096..4104];
+    let churn: Vec<u8> = (0..4096)
+        .map(|i| {
+            if (i / 64) % 2 == 0 {
+                noise[i]
+            } else {
+                motif[i % 8]
+            }
+        })
+        .collect();
+    let noise = &noise[..4096];
     g.throughput(Throughput::Bytes(4096));
     g.bench_function("compress_4k_r05", |b| {
         b.iter(|| compress(black_box(&chunk)))
     });
-    g.bench_function("compress_4k_r05_high", |b| {
-        b.iter(|| {
-            fidr::compress::compress_with_level(
-                black_box(&chunk),
-                fidr::compress::CompressionLevel::High,
-            )
-        })
+    g.bench_function("compress_4k_churn", |b| {
+        b.iter(|| compress(black_box(&churn)))
+    });
+    g.bench_function("compress_4k_noise", |b| {
+        b.iter(|| compress(black_box(noise)))
     });
     g.bench_function("decompress_4k_r05", |b| {
         b.iter(|| decompress(black_box(&packed), 4096).unwrap())

@@ -9,6 +9,29 @@
 //!
 //! The format is self-terminating given the compressed length: the final
 //! sequence carries only literals.
+//!
+//! # The matcher
+//!
+//! Greedy, one pass: at each position the matcher hashes the next four
+//! bytes into a 2^13-bucket `head` table, walks that bucket's chain of
+//! earlier positions (`prev`, newest first, at most 16 candidates within
+//! the 64-KiB window) and takes the longest match, the nearest on ties.
+//! A match of at least four bytes is emitted, and every other position
+//! inside it is indexed without a search. Matches never reach into the
+//! last four bytes, so every stream ends in literals.
+//!
+//! The search is tuned to do little work per position: `prev` is sized to
+//! the input (a power of two, at most the window) and indexed by mask; a
+//! candidate is only extended when the byte at the current best length
+//! agrees, since no other candidate can beat the best; extension compares
+//! eight bytes at a time; and the output buffer is sized once for the
+//! worst case.
+//!
+//! **Byte-identity contract.** None of that tuning may change which match
+//! is chosen: for every input, [`compress`] emits exactly the bytes of the
+//! plain byte-at-a-time matcher it replaced. Every stored size, reduction
+//! statistic and modelled number in the workspace derives from these
+//! bytes. `tests/reference_lzss.rs` keeps that plain matcher as the oracle.
 
 use std::fmt;
 
@@ -19,6 +42,8 @@ const MIN_MATCH: usize = 4;
 const MAX_OFFSET: usize = 65_535;
 /// Hash table size (log2) for the matcher.
 const HASH_BITS: u32 = 13;
+/// Chain candidates examined per searched position.
+const CHAIN_TRIES: u32 = 16;
 
 /// Error returned when decompression encounters a malformed stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,109 +65,99 @@ impl fmt::Display for DecompressError {
 
 impl std::error::Error for DecompressError {}
 
-fn hash4(window: &[u8]) -> usize {
-    let v = u32::from_le_bytes([window[0], window[1], window[2], window[3]]);
+fn hash4(input: &[u8], pos: usize) -> usize {
+    let v = u32::from_le_bytes(input[pos..pos + 4].try_into().expect("four bytes"));
     (v.wrapping_mul(2654435761) >> (32 - HASH_BITS)) as usize
 }
 
-/// Compression effort level.
-///
-/// `Fast` models the throughput-oriented FPGA cores the paper deploys;
-/// `High` spends more matcher effort (deeper hash chains plus lazy
-/// matching) for a better ratio — the software-side trade-off an
-/// operator might pick for cold data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum CompressionLevel {
-    /// Greedy matching, shallow chains (the default).
-    #[default]
-    Fast,
-    /// Lazy matching, deep chains; slower, smaller output.
-    High,
-}
-
-impl CompressionLevel {
-    fn chain_tries(self) -> u32 {
-        match self {
-            CompressionLevel::Fast => 16,
-            CompressionLevel::High => 96,
+/// Length of the common prefix of `a` and `b`, where `b` is the shorter.
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let mut l = 0usize;
+    for (wa, wb) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
+        let x = u64::from_le_bytes(wa.try_into().expect("eight bytes"))
+            ^ u64::from_le_bytes(wb.try_into().expect("eight bytes"));
+        if x != 0 {
+            return l + (x.trailing_zeros() / 8) as usize;
         }
+        l += 8;
     }
-
-    fn lazy(self) -> bool {
-        matches!(self, CompressionLevel::High)
-    }
+    l + a[l..]
+        .iter()
+        .zip(&b[l..])
+        .take_while(|(x, y)| x == y)
+        .count()
 }
 
-/// Matcher state shared by both levels.
+/// Hash-chain matcher state for one input.
 struct Matcher {
     /// head[h] = most recent position with hash h (+1, 0 = empty).
-    head: Vec<u32>,
-    /// prev[i % WINDOW] = previous position in this hash chain (+1).
+    head: Box<[u32; 1 << HASH_BITS]>,
+    /// prev[i & mask] = previous position in i's hash chain (+1).
     prev: Vec<u32>,
-    tries: u32,
+    mask: usize,
 }
 
 impl Matcher {
-    fn new(tries: u32) -> Self {
+    fn new(n: usize) -> Self {
+        // Positions are inserted in increasing order and chains are only
+        // followed within the window, so a table of min(n, window) entries
+        // (rounded up to a power of two) never aliases a live entry.
+        let len = n.next_power_of_two().min(MAX_OFFSET + 1);
         Matcher {
-            head: vec![0u32; 1 << HASH_BITS],
-            prev: vec![0u32; MAX_OFFSET + 1],
-            tries,
+            head: vec![0u32; 1 << HASH_BITS]
+                .into_boxed_slice()
+                .try_into()
+                .expect("head table has 1 << HASH_BITS entries"),
+            prev: vec![0u32; len],
+            mask: len - 1,
         }
     }
 
     /// Indexes position `pos` and returns the best (offset, len) match.
     fn insert_and_find(&mut self, input: &[u8], pos: usize) -> (usize, usize) {
-        let n = input.len();
-        let h = hash4(&input[pos..]);
+        let h = hash4(input, pos);
         let mut candidate = self.head[h] as usize;
         self.head[h] = (pos + 1) as u32;
-        self.prev[pos % (MAX_OFFSET + 1)] = candidate as u32;
+        self.prev[pos & self.mask] = candidate as u32;
 
+        let max_len = input.len() - pos;
         let mut best_len = 0usize;
         let mut best_off = 0usize;
-        let mut tries = self.tries;
-        while candidate > 0 && tries > 0 {
-            let cand = candidate - 1;
-            // Double-indexing (lazy probes + sparse match indexing) can
-            // leave forward references in a chain; matches must point
-            // strictly backwards.
-            if cand >= pos {
-                candidate = self.prev[cand % (MAX_OFFSET + 1)] as usize;
-                tries -= 1;
-                continue;
+        for _ in 0..CHAIN_TRIES {
+            if candidate == 0 {
+                break;
             }
+            let cand = candidate - 1;
+            debug_assert!(cand < pos, "chains only hold earlier positions");
             if pos - cand > MAX_OFFSET {
                 break;
             }
-            let max_len = n - pos;
-            let mut l = 0usize;
-            while l < max_len && input[cand + l] == input[pos + l] {
-                l += 1;
-            }
-            if l > best_len {
-                best_len = l;
-                best_off = pos - cand;
-                if l >= max_len {
-                    break;
+            // Only a candidate that also agrees at `best_len` can be
+            // strictly longer than the best so far.
+            if input[cand + best_len] == input[pos + best_len] {
+                let l = common_prefix(&input[cand..], &input[pos..]);
+                if l > best_len {
+                    best_len = l;
+                    best_off = pos - cand;
+                    if l >= max_len {
+                        break;
+                    }
                 }
             }
-            candidate = self.prev[cand % (MAX_OFFSET + 1)] as usize;
-            tries -= 1;
+            candidate = self.prev[cand & self.mask] as usize;
         }
         (best_off, best_len)
     }
 
     /// Indexes a position without searching (inside emitted matches).
     fn insert_only(&mut self, input: &[u8], pos: usize) {
-        let h = hash4(&input[pos..]);
-        self.prev[pos % (MAX_OFFSET + 1)] = self.head[h];
+        let h = hash4(input, pos);
+        self.prev[pos & self.mask] = self.head[h];
         self.head[h] = (pos + 1) as u32;
     }
 }
 
-/// Compresses `input` into the block format at the default (`Fast`)
-/// level.
+/// Compresses `input` into the block format.
 ///
 /// The output of compressing an empty input is empty. Compression never
 /// fails; incompressible data expands by at most ~0.5 %.
@@ -156,18 +171,14 @@ impl Matcher {
 /// assert_eq!(fidr_compress::decompress(&packed, data.len()).unwrap(), data);
 /// ```
 pub fn compress(input: &[u8]) -> Vec<u8> {
-    compress_with_level(input, CompressionLevel::Fast)
-}
-
-/// Compresses `input` at an explicit effort [`CompressionLevel`].
-pub fn compress_with_level(input: &[u8], level: CompressionLevel) -> Vec<u8> {
     let n = input.len();
-    let mut out = Vec::with_capacity(n / 2 + 16);
     if n == 0 {
-        return out;
+        return Vec::new();
     }
+    // Worst case: all literals, one extension byte per 255 of them.
+    let mut out = Vec::with_capacity(n + n / 255 + 16);
 
-    let mut matcher = Matcher::new(level.chain_tries());
+    let mut matcher = Matcher::new(n);
     let mut pos = 0usize;
     let mut literal_start = 0usize;
 
@@ -176,22 +187,7 @@ pub fn compress_with_level(input: &[u8], level: CompressionLevel) -> Vec<u8> {
     let match_limit = n.saturating_sub(MIN_MATCH);
 
     while pos < match_limit {
-        let (mut best_off, mut best_len) = matcher.insert_and_find(input, pos);
-
-        // Lazy matching: if the next position yields a strictly longer
-        // match, emit this byte as a literal and take the later match.
-        if level.lazy() && best_len >= MIN_MATCH && pos + 1 < match_limit {
-            let (next_off, next_len) = matcher.insert_and_find(input, pos + 1);
-            // When deferring, `pos` advances onto the probed position,
-            // whose index entry insert_and_find already made; when not,
-            // the probe merely pre-indexed pos+1.
-            if next_len > best_len + 1 {
-                pos += 1;
-                best_off = next_off;
-                best_len = next_len;
-            }
-        }
-
+        let (best_off, mut best_len) = matcher.insert_and_find(input, pos);
         if best_len >= MIN_MATCH {
             // Trim so the stream always ends with at least MIN_MATCH
             // literal bytes; truncated streams then fail decompression.
@@ -328,13 +324,23 @@ pub fn decompress(input: &[u8], expected_len: usize) -> Result<Vec<u8>, Decompre
                 }
             }
         }
-        let start = out.len() - off;
-        for i in 0..mlen {
-            let b = out[start + i];
-            out.push(b);
-        }
-        if out.len() > expected_len {
+        // Bound before copying: a corrupt length may claim far more
+        // bytes than the block holds.
+        if out.len() + mlen > expected_len {
             return Err(DecompressError::new("output exceeds expected length"));
+        }
+        let start = out.len() - off;
+        if off >= mlen {
+            out.extend_from_within(start..start + mlen);
+        } else {
+            // Overlapping copy: the match repeats the last `off` bytes.
+            // Each pass copies everything written since `start`, a whole
+            // number of periods, so the copied span doubles per pass.
+            let end = out.len() + mlen;
+            while out.len() < end {
+                let k = (out.len() - start).min(end - out.len());
+                out.extend_from_within(start..start + k);
+            }
         }
     }
 
@@ -424,48 +430,6 @@ mod tests {
     }
 
     #[test]
-    fn high_level_roundtrips_and_compresses_tighter() {
-        // Structured text-like data where lazy matching finds better cuts.
-        let mut data = Vec::new();
-        for i in 0..400u32 {
-            data.extend_from_slice(
-                format!("record-{:04}: the quick brown fox;", i % 37).as_bytes(),
-            );
-        }
-        let fast = compress_with_level(&data, CompressionLevel::Fast);
-        let high = compress_with_level(&data, CompressionLevel::High);
-        assert_eq!(decompress(&fast, data.len()).unwrap(), data);
-        assert_eq!(decompress(&high, data.len()).unwrap(), data);
-        assert!(
-            high.len() <= fast.len(),
-            "high effort must not lose: {} vs {}",
-            high.len(),
-            fast.len()
-        );
-    }
-
-    #[test]
-    fn high_level_roundtrips_random_and_repetitive() {
-        let mut s = 99u64;
-        let noise: Vec<u8> = (0..8192)
-            .map(|_| {
-                s ^= s << 13;
-                s ^= s >> 7;
-                s ^= s << 17;
-                (s >> 30) as u8
-            })
-            .collect();
-        for data in [
-            noise,
-            vec![7u8; 8192],
-            (0..8192u32).map(|i| (i % 5) as u8).collect(),
-        ] {
-            let c = compress_with_level(&data, CompressionLevel::High);
-            assert_eq!(decompress(&c, data.len()).unwrap(), data);
-        }
-    }
-
-    #[test]
     fn truncated_stream_errors() {
         let data = vec![7u8; 1024];
         let c = compress(&data);
@@ -485,5 +449,17 @@ mod tests {
         // Token demanding a match with offset beyond produced output.
         let stream = [0x10, b'a', 0xff, 0xff, 0x00];
         assert!(decompress(&stream, 100).is_err());
+    }
+
+    #[test]
+    fn oversized_match_length_errors_before_copying() {
+        // A 4-KiB stream whose one match claims ~1 MiB: literal "ab",
+        // offset 2, then a run of 255-extension bytes.
+        let mut stream = vec![0x2f, b'a', b'b', 0x02, 0x00];
+        stream.resize(4095, 255);
+        stream.push(0);
+        let claimed = 2 + 19 + 255 * (4095 - 5);
+        assert!(claimed > 1_000_000);
+        assert!(decompress(&stream, 4096).is_err());
     }
 }

@@ -1,10 +1,17 @@
 //! Property-based tests for the codec: roundtrip over arbitrary and
 //! adversarially-structured inputs.
 
-use fidr_compress::{
-    compress, compress_with_level, decompress, CompressedChunk, CompressionLevel, ContentGenerator,
-};
+use fidr_compress::{compress, decompress, CompressedChunk, ContentGenerator};
 use proptest::prelude::*;
+
+/// Appends a 255-continuation length, as the block format encodes it.
+fn push_length(out: &mut Vec<u8>, mut extra: usize) {
+    while extra >= 255 {
+        out.push(255);
+        extra -= 255;
+    }
+    out.push(extra as u8);
+}
 
 proptest! {
     #[test]
@@ -46,14 +53,42 @@ proptest! {
         let _ = decompress(&c, explen);
     }
 
-    /// High-effort compression roundtrips on arbitrary inputs and never
-    /// produces larger output than Fast by more than the format slack.
+    /// Hand-built streams driving both match-copy paths (overlapping
+    /// whenever the offset, 1..=16, is below the match length), then
+    /// truncated or corrupted, or decoded against a wrong length. Never
+    /// panics; the intact stream at its exact length decodes to the
+    /// periodic expansion.
     #[test]
-    fn high_level_roundtrip_arbitrary(data in proptest::collection::vec(any::<u8>(), 0..6144)) {
-        let high = compress_with_level(&data, CompressionLevel::High);
-        prop_assert_eq!(decompress(&high, data.len()).unwrap(), data.clone());
-        let fast = compress_with_level(&data, CompressionLevel::Fast);
-        prop_assert!(high.len() <= fast.len() + 16);
+    fn corrupt_match_copies_never_panic(lits in proptest::collection::vec(any::<u8>(), 16..40),
+                                        off in 1usize..=16,
+                                        mlen in 4usize..600,
+                                        cut in 0usize..8,
+                                        flip in 0usize..4096,
+                                        slack in 0usize..3) {
+        let mut s = vec![(15 << 4) | (mlen - 4).min(15) as u8];
+        push_length(&mut s, lits.len() - 15);
+        s.extend_from_slice(&lits);
+        s.extend([off as u8, 0]);
+        if mlen - 4 >= 15 {
+            push_length(&mut s, mlen - 4 - 15);
+        }
+        s.push(0x40);
+        s.extend_from_slice(b"tail");
+
+        let mut want = lits.clone();
+        for _ in 0..mlen {
+            want.push(want[want.len() - off]);
+        }
+        want.extend_from_slice(b"tail");
+        prop_assert_eq!(decompress(&s, want.len()).unwrap(), want.clone());
+
+        let explen = want.len() + slack - 1;
+        let _ = decompress(&s[..s.len() - cut], explen);
+        let i = flip % s.len();
+        s[i] = s[i].wrapping_add(1 + (flip % 255) as u8);
+        if let Ok(out) = decompress(&s, explen) {
+            prop_assert_eq!(out.len(), explen);
+        }
     }
 
     /// CompressedChunk roundtrips for any content.

@@ -26,9 +26,7 @@ mod buffer;
 mod codec;
 pub mod protocol;
 pub mod shard;
-mod tcp;
 
 pub use buffer::{schedule_unique, FidrNic, HashedChunk, NicStats};
 pub use codec::{CodecStats, FramedCodec};
 pub use shard::{ShardMapError, ShardNode, ShardRouter};
-pub use tcp::{TcpFrontEnd, TcpOffloadEngine};

@@ -3,7 +3,7 @@
 # projected throughput plus a per-stage latency breakdown (p50/p99 of the
 # modelled span durations) into BENCH_<tag>.json at the repository root.
 #
-# Usage: ./scripts/bench_snapshot.sh [tag]   (default tag: pr12)
+# Usage: ./scripts/bench_snapshot.sh [tag]   (default tag: pr13)
 #
 # Throughput comes from the §7.5 projection printed by `fidr run`; stage
 # latencies come from the fidr.spans.v1 files exported by `fidr spans`.
@@ -16,7 +16,7 @@
 # multi-lane hashing landed (see docs/PERFORMANCE.md).
 set -eu
 
-TAG="${1:-pr12}"
+TAG="${1:-pr13}"
 OUT="BENCH_${TAG}.json"
 OPS="${OPS:-2000}"
 # Same CPU detection as scripts/check.sh's wall-gate skip, so the
